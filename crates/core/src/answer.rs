@@ -109,6 +109,14 @@ impl ApproxAnswer {
         self.groups.sort_by(|a, b| a.key.cmp(&b.key));
     }
 
+    /// The groups in the order [`ApproxAnswer::sort_by_key`] leaves them
+    /// (a stable sort by key), without cloning or moving any group.
+    pub fn groups_by_key(&self) -> Vec<&ApproxGroup> {
+        let mut sorted: Vec<&ApproxGroup> = self.groups.iter().collect();
+        sorted.sort_by(|a, b| a.key.cmp(&b.key));
+        sorted
+    }
+
     /// View as a key → values map.
     pub fn to_map(&self) -> HashMap<&[Value], &[ApproxValue]> {
         self.groups
@@ -127,9 +135,7 @@ impl fmt::Display for ApproxAnswer {
             write!(f, "{alias}\t")?;
         }
         writeln!(f)?;
-        let mut sorted = self.groups.clone();
-        sorted.sort_by(|a, b| a.key.cmp(&b.key));
-        for g in &sorted {
+        for g in self.groups_by_key() {
             for k in &g.key {
                 write!(f, "{k}\t")?;
             }
@@ -256,5 +262,42 @@ mod tests {
         let rendered = ans.to_string();
         assert!(rendered.contains("exact"));
         assert_eq!(ans.to_map().len(), 1);
+    }
+
+    #[test]
+    fn groups_by_key_is_the_stable_sort_order() {
+        let group = |k: i64, v: f64| ApproxGroup {
+            key: vec![Value::Int64(k)],
+            values: vec![ApproxValue {
+                estimate: Estimate::exact(v),
+                ci: ConfidenceInterval {
+                    lo: v,
+                    hi: v,
+                    confidence: 0.95,
+                },
+            }],
+        };
+        // Duplicate keys keep their input order, as in `sort_by_key`.
+        let ans = ApproxAnswer {
+            group_names: vec!["k".into()],
+            agg_aliases: vec!["v".into()],
+            groups: vec![
+                group(3, 1.0),
+                group(1, 2.0),
+                group(3, 3.0),
+                group(2, 4.0),
+                group(1, 5.0),
+            ],
+            ..ApproxAnswer::default()
+        };
+        let mut sorted = ans.clone();
+        sorted.sort_by_key();
+        let by_key: Vec<ApproxGroup> = ans.groups_by_key().into_iter().cloned().collect();
+        assert_eq!(by_key, sorted.groups);
+        let rendered = ans.to_string();
+        assert_eq!(rendered, sorted.to_string());
+        let rows: Vec<&str> = rendered.lines().skip(1).collect();
+        assert_eq!(rows[0], "1\t2.00 (exact)\t");
+        assert_eq!(rows[4], "3\t3.00 (exact)\t");
     }
 }

@@ -3,19 +3,22 @@
 //! Each message is one *frame*: a 4-byte big-endian payload length
 //! followed by that many bytes of UTF-8 JSON. Framing keeps the parser
 //! trivial and makes partial reads explicit; JSON keeps the protocol
-//! inspectable with nothing but `nc` and eyeballs. The JSON tree reuses
-//! [`aqp_obs::json::Value`] — the same hand-rolled writer/parser the
-//! trace pipeline uses — so the serving layer stays zero-dependency.
+//! inspectable with nothing but `nc` and eyeballs. The codec reuses
+//! [`aqp_obs::json`] — the same hand-rolled writer/parser the trace
+//! pipeline uses — so the serving layer stays zero-dependency. Responses
+//! are written field by field into one buffer, with no intermediate
+//! tree, and decoded by moving strings out of the parsed tree; both are
+//! linear in the frame size.
 //!
 //! Degradation is a *first-class wire concept*: an `ok` response carries
-//! the [`ServingTier`] that produced the answer, whether the scan was
-//! truncated (`partial`), and whether the deadline forced a cheaper tier
-//! (`deadline_limited`); an overloaded server answers `shed` with a
-//! `retry_after_ms` hint instead of stalling the client; a missed
-//! deadline answers `timeout`. Clients can react to load without any
-//! out-of-band channel.
+//! the [`aqp_core::ServingTier`] that produced the answer, whether the
+//! scan was truncated (`partial`), and whether the deadline forced a
+//! cheaper tier (`deadline_limited`); an overloaded server answers
+//! `shed` with a `retry_after_ms` hint instead of stalling the client; a
+//! missed deadline answers `timeout`. Clients can react to load without
+//! any out-of-band channel.
 
-use aqp_core::{ApproxAnswer, ServingTier};
+use aqp_core::ApproxAnswer;
 use aqp_obs::json::{self, Value};
 use aqp_storage::Value as Datum;
 use std::io::{self, Read, Write};
@@ -404,22 +407,20 @@ impl WireAnswer {
         cache_hit: bool,
         trace_id: String,
     ) -> WireAnswer {
-        let mut sorted = answer.clone();
-        sorted.sort_by_key();
         WireAnswer {
             trace_id,
-            tier: tier_str(sorted.tier).to_string(),
-            partial: sorted.partial,
+            tier: answer.tier.to_string(),
+            partial: answer.partial,
             deadline_limited,
             cache_hit,
-            rows_scanned: sorted.rows_scanned as u64,
+            rows_scanned: answer.rows_scanned as u64,
             effective_budget: effective_budget.map(|b| b as u64),
             elapsed_ms,
-            group_names: sorted.group_names.clone(),
-            agg_aliases: sorted.agg_aliases.clone(),
-            groups: sorted
-                .groups
-                .iter()
+            group_names: answer.group_names.clone(),
+            agg_aliases: answer.agg_aliases.clone(),
+            groups: answer
+                .groups_by_key()
+                .into_iter()
                 .map(|g| WireGroup {
                     key: g.key.iter().map(datum_to_json).collect(),
                     values: g
@@ -436,14 +437,119 @@ impl WireAnswer {
                 .collect(),
         }
     }
+
+    /// Append this answer's `ok` response object to `out`. Member order
+    /// is part of the wire format.
+    fn write_json(&self, out: &mut String) {
+        out.push_str(r#"{"status":"ok","trace_id":"#);
+        json::write_escaped(out, &self.trace_id);
+        out.push_str(r#","tier":"#);
+        json::write_escaped(out, &self.tier);
+        out.push_str(r#","partial":"#);
+        out.push_str(bool_str(self.partial));
+        out.push_str(r#","deadline_limited":"#);
+        out.push_str(bool_str(self.deadline_limited));
+        out.push_str(r#","cache_hit":"#);
+        out.push_str(bool_str(self.cache_hit));
+        if let Some(b) = self.effective_budget {
+            out.push_str(r#","effective_budget":"#);
+            write_u64(out, b);
+        }
+        out.push_str(r#","rows_scanned":"#);
+        write_u64(out, self.rows_scanned);
+        out.push_str(r#","elapsed_ms":"#);
+        json::write_f64(out, self.elapsed_ms);
+        out.push_str(r#","group_names":"#);
+        write_str_array(out, &self.group_names);
+        out.push_str(r#","agg_aliases":"#);
+        write_str_array(out, &self.agg_aliases);
+        out.push_str(r#","groups":["#);
+        for (i, g) in self.groups.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(r#"{"key":["#);
+            for (j, k) in g.key.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                k.write(out);
+            }
+            out.push_str(r#"],"values":["#);
+            for (j, v) in g.values.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push_str(r#"{"estimate":"#);
+                json::write_f64(out, v.estimate);
+                out.push_str(r#","lo":"#);
+                json::write_f64(out, v.lo);
+                out.push_str(r#","hi":"#);
+                json::write_f64(out, v.hi);
+                out.push_str(r#","exact":"#);
+                out.push_str(bool_str(v.exact));
+                out.push('}');
+            }
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+    }
+
+    /// A size to pre-allocate for [`WireAnswer::write_json`]: the fixed
+    /// members plus about 24 bytes per key and 112 per value object.
+    fn json_len_hint(&self) -> usize {
+        let per_group = 32 + 24 * self.group_names.len() + 112 * self.agg_aliases.len();
+        256 + per_group * self.groups.len()
+    }
 }
 
-fn tier_str(tier: ServingTier) -> &'static str {
-    match tier {
-        ServingTier::Primary => "primary",
-        ServingTier::DegradedPrimary => "degraded",
-        ServingTier::Overall => "overall",
-        ServingTier::Exact => "exact",
+fn bool_str(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
+    }
+}
+
+/// Integers travel as JSON numbers, formatted as the `f64` they decode to.
+fn write_u64(out: &mut String, n: u64) {
+    json::write_f64(out, n as f64);
+}
+
+fn write_str_array(out: &mut String, items: &[String]) {
+    out.push('[');
+    for (i, s) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_escaped(out, s);
+    }
+    out.push(']');
+}
+
+/// Move the first member named `key` out of an object, leaving `null` in
+/// its place, so decoding hands over strings and arrays without copying.
+fn take(obj: &mut Value, key: &str) -> Option<Value> {
+    match obj {
+        Value::Obj(members) => members
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Value::Null)),
+        _ => None,
+    }
+}
+
+fn take_str(obj: &mut Value, key: &str) -> Option<String> {
+    match take(obj, key)? {
+        Value::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+fn take_arr(obj: &mut Value, key: &str) -> Option<Vec<Value>> {
+    match take(obj, key)? {
+        Value::Arr(items) => Some(items),
+        _ => None,
     }
 }
 
@@ -498,127 +604,72 @@ pub enum Response {
 }
 
 impl Response {
-    /// Encode as a JSON frame payload.
+    /// Encode as a JSON frame payload, written straight into one
+    /// pre-sized buffer: time is linear in the frame size.
     pub fn to_json(&self) -> String {
-        let v = match self {
-            Response::Pong => Value::Obj(vec![
-                ("status".into(), "ok".into()),
-                ("pong".into(), true.into()),
-            ]),
-            Response::Metrics(text) => Value::Obj(vec![
-                ("status".into(), "ok".into()),
-                ("metrics".into(), text.as_str().into()),
-            ]),
-            Response::Stats(text) => Value::Obj(vec![
-                ("status".into(), "ok".into()),
-                ("stats".into(), text.as_str().into()),
-            ]),
-            Response::Dump(text) => Value::Obj(vec![
-                ("status".into(), "ok".into()),
-                ("dump".into(), text.as_str().into()),
-            ]),
-            Response::ShuttingDown => Value::Obj(vec![
-                ("status".into(), "ok".into()),
-                ("shutting_down".into(), true.into()),
-            ]),
-            Response::Invalidated { epoch } => Value::Obj(vec![
-                ("status".into(), "ok".into()),
-                ("invalidated".into(), true.into()),
-                ("epoch".into(), (*epoch).into()),
-            ]),
-            Response::Shed { retry_after_ms, class, trace_id } => Value::Obj(vec![
-                ("status".into(), "shed".into()),
-                ("retry_after_ms".into(), (*retry_after_ms).into()),
-                ("class".into(), class.as_str().into()),
-                ("trace_id".into(), trace_id.as_str().into()),
-            ]),
-            Response::Draining => Value::Obj(vec![("status".into(), "draining".into())]),
-            Response::Timeout { message, trace_id } => Value::Obj(vec![
-                ("status".into(), "timeout".into()),
-                ("message".into(), message.as_str().into()),
-                ("trace_id".into(), trace_id.as_str().into()),
-            ]),
-            Response::Error { message, trace_id } => Value::Obj(vec![
-                ("status".into(), "error".into()),
-                ("message".into(), message.as_str().into()),
-                ("trace_id".into(), trace_id.as_str().into()),
-            ]),
-            Response::Answer(a) => {
-                let groups = a
-                    .groups
-                    .iter()
-                    .map(|g| {
-                        Value::Obj(vec![
-                            ("key".into(), Value::Arr(g.key.clone())),
-                            (
-                                "values".into(),
-                                Value::Arr(
-                                    g.values
-                                        .iter()
-                                        .map(|v| {
-                                            Value::Obj(vec![
-                                                ("estimate".into(), v.estimate.into()),
-                                                ("lo".into(), v.lo.into()),
-                                                ("hi".into(), v.hi.into()),
-                                                ("exact".into(), v.exact.into()),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect();
-                let mut m: Vec<(String, Value)> = vec![
-                    ("status".into(), "ok".into()),
-                    ("trace_id".into(), a.trace_id.as_str().into()),
-                    ("tier".into(), a.tier.as_str().into()),
-                    ("partial".into(), a.partial.into()),
-                    ("deadline_limited".into(), a.deadline_limited.into()),
-                    ("cache_hit".into(), a.cache_hit.into()),
-                    ("rows_scanned".into(), a.rows_scanned.into()),
-                    ("elapsed_ms".into(), a.elapsed_ms.into()),
-                    (
-                        "group_names".into(),
-                        Value::Arr(a.group_names.iter().map(|s| s.as_str().into()).collect()),
-                    ),
-                    (
-                        "agg_aliases".into(),
-                        Value::Arr(a.agg_aliases.iter().map(|s| s.as_str().into()).collect()),
-                    ),
-                    ("groups".into(), Value::Arr(groups)),
-                ];
-                if let Some(b) = a.effective_budget {
-                    m.insert(6, ("effective_budget".into(), b.into()));
-                }
-                Value::Obj(m)
+        let hint = match self {
+            Response::Answer(a) => a.json_len_hint(),
+            Response::Metrics(text) | Response::Stats(text) | Response::Dump(text) => {
+                64 + text.len() + text.len() / 8
             }
+            _ => 128,
         };
-        v.to_json()
+        let mut out = String::with_capacity(hint);
+        match self {
+            Response::Answer(a) => a.write_json(&mut out),
+            Response::Pong => out.push_str(r#"{"status":"ok","pong":true}"#),
+            Response::Metrics(text) => write_ok_text(&mut out, "metrics", text),
+            Response::Stats(text) => write_ok_text(&mut out, "stats", text),
+            Response::Dump(text) => write_ok_text(&mut out, "dump", text),
+            Response::ShuttingDown => out.push_str(r#"{"status":"ok","shutting_down":true}"#),
+            Response::Invalidated { epoch } => {
+                out.push_str(r#"{"status":"ok","invalidated":true,"epoch":"#);
+                write_u64(&mut out, *epoch);
+                out.push('}');
+            }
+            Response::Shed {
+                retry_after_ms,
+                class,
+                trace_id,
+            } => {
+                out.push_str(r#"{"status":"shed","retry_after_ms":"#);
+                write_u64(&mut out, *retry_after_ms);
+                out.push_str(r#","class":"#);
+                json::write_escaped(&mut out, class);
+                out.push_str(r#","trace_id":"#);
+                json::write_escaped(&mut out, trace_id);
+                out.push('}');
+            }
+            Response::Draining => out.push_str(r#"{"status":"draining"}"#),
+            Response::Timeout { message, trace_id } => {
+                write_failure(&mut out, "timeout", message, trace_id)
+            }
+            Response::Error { message, trace_id } => {
+                write_failure(&mut out, "error", message, trace_id)
+            }
+        }
+        out
     }
 
-    /// Decode a JSON frame payload.
+    /// Decode a JSON frame payload. Strings and arrays are moved out of the
+    /// parsed tree, never copied.
     pub fn from_json(payload: &str) -> Result<Response, String> {
-        let v = json::parse(payload)?;
-        let status = v.get("status").and_then(Value::as_str).ok_or("missing status")?;
-        match status {
+        let mut v = json::parse(payload)?;
+        let status = take_str(&mut v, "status").ok_or("missing status")?;
+        match status.as_str() {
             "shed" => Ok(Response::Shed {
                 retry_after_ms: v.get("retry_after_ms").and_then(Value::as_u64).unwrap_or(0),
-                class: v
-                    .get("class")
-                    .and_then(Value::as_str)
-                    .unwrap_or("interactive")
-                    .to_string(),
-                trace_id: v.get("trace_id").and_then(Value::as_str).unwrap_or("").to_string(),
+                class: take_str(&mut v, "class").unwrap_or_else(|| "interactive".into()),
+                trace_id: take_str(&mut v, "trace_id").unwrap_or_default(),
             }),
             "draining" => Ok(Response::Draining),
             "timeout" => Ok(Response::Timeout {
-                message: v.get("message").and_then(Value::as_str).unwrap_or("").to_string(),
-                trace_id: v.get("trace_id").and_then(Value::as_str).unwrap_or("").to_string(),
+                message: take_str(&mut v, "message").unwrap_or_default(),
+                trace_id: take_str(&mut v, "trace_id").unwrap_or_default(),
             }),
             "error" => Ok(Response::Error {
-                message: v.get("message").and_then(Value::as_str).unwrap_or("").to_string(),
-                trace_id: v.get("trace_id").and_then(Value::as_str).unwrap_or("").to_string(),
+                message: take_str(&mut v, "message").unwrap_or_default(),
+                trace_id: take_str(&mut v, "trace_id").unwrap_or_default(),
             }),
             "ok" => {
                 if v.get("pong").and_then(Value::as_bool) == Some(true) {
@@ -632,26 +683,22 @@ impl Response {
                         epoch: v.get("epoch").and_then(Value::as_u64).unwrap_or(0),
                     });
                 }
-                if let Some(text) = v.get("metrics").and_then(Value::as_str) {
-                    return Ok(Response::Metrics(text.to_string()));
+                if let Some(text) = take_str(&mut v, "metrics") {
+                    return Ok(Response::Metrics(text));
                 }
-                if let Some(text) = v.get("stats").and_then(Value::as_str) {
-                    return Ok(Response::Stats(text.to_string()));
+                if let Some(text) = take_str(&mut v, "stats") {
+                    return Ok(Response::Stats(text));
                 }
-                if let Some(text) = v.get("dump").and_then(Value::as_str) {
-                    return Ok(Response::Dump(text.to_string()));
+                if let Some(text) = take_str(&mut v, "dump") {
+                    return Ok(Response::Dump(text));
                 }
-                let groups = v
-                    .get("groups")
-                    .and_then(Value::as_arr)
+                let groups = take_arr(&mut v, "groups")
                     .ok_or("ok response needs groups")?
-                    .iter()
-                    .map(|g| {
-                        let key = g.get("key").and_then(Value::as_arr).unwrap_or(&[]).to_vec();
-                        let values = g
-                            .get("values")
-                            .and_then(Value::as_arr)
-                            .unwrap_or(&[])
+                    .into_iter()
+                    .map(|mut g| WireGroup {
+                        key: take_arr(&mut g, "key").unwrap_or_default(),
+                        values: take_arr(&mut g, "values")
+                            .unwrap_or_default()
                             .iter()
                             .map(|w| WireValue {
                                 estimate: w.get("estimate").and_then(Value::as_f64).unwrap_or(0.0),
@@ -659,21 +706,22 @@ impl Response {
                                 hi: w.get("hi").and_then(Value::as_f64).unwrap_or(f64::NAN),
                                 exact: w.get("exact").and_then(Value::as_bool).unwrap_or(false),
                             })
-                            .collect();
-                        WireGroup { key, values }
+                            .collect(),
                     })
                     .collect();
-                let strings = |k: &str| -> Vec<String> {
-                    v.get(k)
-                        .and_then(Value::as_arr)
-                        .unwrap_or(&[])
-                        .iter()
-                        .filter_map(|s| s.as_str().map(str::to_string))
+                let strings = |v: &mut Value, k: &str| -> Vec<String> {
+                    take_arr(v, k)
+                        .unwrap_or_default()
+                        .into_iter()
+                        .filter_map(|s| match s {
+                            Value::Str(s) => Some(s),
+                            _ => None,
+                        })
                         .collect()
                 };
                 Ok(Response::Answer(WireAnswer {
-                    trace_id: v.get("trace_id").and_then(Value::as_str).unwrap_or("").to_string(),
-                    tier: v.get("tier").and_then(Value::as_str).unwrap_or("").to_string(),
+                    trace_id: take_str(&mut v, "trace_id").unwrap_or_default(),
+                    tier: take_str(&mut v, "tier").unwrap_or_default(),
                     partial: v.get("partial").and_then(Value::as_bool).unwrap_or(false),
                     deadline_limited: v
                         .get("deadline_limited")
@@ -683,8 +731,8 @@ impl Response {
                     rows_scanned: v.get("rows_scanned").and_then(Value::as_u64).unwrap_or(0),
                     effective_budget: v.get("effective_budget").and_then(Value::as_u64),
                     elapsed_ms: v.get("elapsed_ms").and_then(Value::as_f64).unwrap_or(0.0),
-                    group_names: strings("group_names"),
-                    agg_aliases: strings("agg_aliases"),
+                    group_names: strings(&mut v, "group_names"),
+                    agg_aliases: strings(&mut v, "agg_aliases"),
                     groups,
                 }))
             }
@@ -698,6 +746,26 @@ impl Response {
     pub fn is_terminal(&self) -> bool {
         true
     }
+}
+
+/// `{"status":"ok","<key>":"<text>"}` — the one-string `ok` responses.
+fn write_ok_text(out: &mut String, key: &str, text: &str) {
+    out.push_str(r#"{"status":"ok",""#);
+    out.push_str(key);
+    out.push_str(r#"":"#);
+    json::write_escaped(out, text);
+    out.push('}');
+}
+
+/// `{"status":"<status>","message":...,"trace_id":...}`.
+fn write_failure(out: &mut String, status: &str, message: &str, trace_id: &str) {
+    out.push_str(r#"{"status":""#);
+    out.push_str(status);
+    out.push_str(r#"","message":"#);
+    json::write_escaped(out, message);
+    out.push_str(r#","trace_id":"#);
+    json::write_escaped(out, trace_id);
+    out.push('}');
 }
 
 #[cfg(test)]
@@ -895,6 +963,301 @@ mod tests {
             assert_eq!(back, resp);
             assert!(resp.is_terminal());
         }
+    }
+
+    /// The encoder as it stood before the direct writer: every response
+    /// built as a `Value` tree, then serialized. The wire format is pinned
+    /// to its output byte for byte.
+    fn reference_to_json(resp: &Response) -> String {
+        let ok =
+            |k: &str, v: Value| Value::Obj(vec![("status".into(), "ok".into()), (k.into(), v)]);
+        let v = match resp {
+            Response::Pong => ok("pong", true.into()),
+            Response::Metrics(text) => ok("metrics", text.as_str().into()),
+            Response::Stats(text) => ok("stats", text.as_str().into()),
+            Response::Dump(text) => ok("dump", text.as_str().into()),
+            Response::ShuttingDown => ok("shutting_down", true.into()),
+            Response::Invalidated { epoch } => Value::Obj(vec![
+                ("status".into(), "ok".into()),
+                ("invalidated".into(), true.into()),
+                ("epoch".into(), (*epoch).into()),
+            ]),
+            Response::Shed {
+                retry_after_ms,
+                class,
+                trace_id,
+            } => Value::Obj(vec![
+                ("status".into(), "shed".into()),
+                ("retry_after_ms".into(), (*retry_after_ms).into()),
+                ("class".into(), class.as_str().into()),
+                ("trace_id".into(), trace_id.as_str().into()),
+            ]),
+            Response::Draining => Value::Obj(vec![("status".into(), "draining".into())]),
+            Response::Timeout { message, trace_id } => Value::Obj(vec![
+                ("status".into(), "timeout".into()),
+                ("message".into(), message.as_str().into()),
+                ("trace_id".into(), trace_id.as_str().into()),
+            ]),
+            Response::Error { message, trace_id } => Value::Obj(vec![
+                ("status".into(), "error".into()),
+                ("message".into(), message.as_str().into()),
+                ("trace_id".into(), trace_id.as_str().into()),
+            ]),
+            Response::Answer(a) => {
+                let groups = a
+                    .groups
+                    .iter()
+                    .map(|g| {
+                        let values = g
+                            .values
+                            .iter()
+                            .map(|v| {
+                                Value::Obj(vec![
+                                    ("estimate".into(), v.estimate.into()),
+                                    ("lo".into(), v.lo.into()),
+                                    ("hi".into(), v.hi.into()),
+                                    ("exact".into(), v.exact.into()),
+                                ])
+                            })
+                            .collect();
+                        Value::Obj(vec![
+                            ("key".into(), Value::Arr(g.key.clone())),
+                            ("values".into(), Value::Arr(values)),
+                        ])
+                    })
+                    .collect();
+                let strs =
+                    |xs: &[String]| Value::Arr(xs.iter().map(|s| s.as_str().into()).collect());
+                let mut m: Vec<(String, Value)> = vec![
+                    ("status".into(), "ok".into()),
+                    ("trace_id".into(), a.trace_id.as_str().into()),
+                    ("tier".into(), a.tier.as_str().into()),
+                    ("partial".into(), a.partial.into()),
+                    ("deadline_limited".into(), a.deadline_limited.into()),
+                    ("cache_hit".into(), a.cache_hit.into()),
+                    ("rows_scanned".into(), a.rows_scanned.into()),
+                    ("elapsed_ms".into(), a.elapsed_ms.into()),
+                    ("group_names".into(), strs(&a.group_names)),
+                    ("agg_aliases".into(), strs(&a.agg_aliases)),
+                    ("groups".into(), Value::Arr(groups)),
+                ];
+                if let Some(b) = a.effective_budget {
+                    m.insert(6, ("effective_budget".into(), b.into()));
+                }
+                Value::Obj(m)
+            }
+        };
+        v.to_json()
+    }
+
+    /// Strings that exercise every escape the writer emits, plus
+    /// multi-byte characters next to them.
+    const TRICKY: &str = "é\"≈\\\n\r\t\u{1}\u{1f}😀/ok";
+
+    fn tricky_answer(effective_budget: Option<u64>) -> WireAnswer {
+        WireAnswer {
+            trace_id: format!("tid-{TRICKY}"),
+            tier: "degraded".into(),
+            partial: effective_budget.is_some(),
+            deadline_limited: true,
+            cache_hit: false,
+            rows_scanned: 9_007_199_254_740_993,
+            effective_budget,
+            elapsed_ms: 0.1 + 0.2,
+            group_names: vec!["store.région".into(), format!("g{TRICKY}"), String::new()],
+            agg_aliases: vec!["SUM(\"rev\")".into(), "avg\\x".into()],
+            groups: vec![
+                WireGroup {
+                    key: vec![Value::Str(TRICKY.into()), Value::Num(-0.0), Value::Null],
+                    values: vec![
+                        WireValue {
+                            estimate: f64::NAN,
+                            lo: f64::NEG_INFINITY,
+                            hi: f64::INFINITY,
+                            exact: false,
+                        },
+                        WireValue {
+                            estimate: 1e300,
+                            lo: -5e-324,
+                            hi: 123456.789,
+                            exact: true,
+                        },
+                    ],
+                },
+                WireGroup {
+                    key: vec![
+                        Value::Bool(true),
+                        Value::Num(42.0),
+                        Value::Str(String::new()),
+                    ],
+                    values: vec![],
+                },
+                WireGroup {
+                    key: vec![],
+                    values: vec![],
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn direct_writer_matches_value_tree_reference() {
+        let empty = WireAnswer {
+            groups: vec![],
+            group_names: vec![],
+            agg_aliases: vec![],
+            ..tricky_answer(None)
+        };
+        let resps = [
+            Response::Answer(tricky_answer(Some(50_000))),
+            Response::Answer(tricky_answer(None)),
+            Response::Answer(empty),
+            Response::Pong,
+            Response::Metrics(format!("# HELP {TRICKY}\nx 1\n")),
+            Response::Stats(format!("{{\"classes\":[\"{TRICKY}\"]}}")),
+            Response::Dump(String::new()),
+            Response::ShuttingDown,
+            Response::Invalidated { epoch: 0 },
+            Response::Invalidated { epoch: u64::MAX },
+            Response::Shed {
+                retry_after_ms: 40,
+                class: TRICKY.into(),
+                trace_id: TRICKY.into(),
+            },
+            Response::Draining,
+            Response::Timeout {
+                message: TRICKY.into(),
+                trace_id: String::new(),
+            },
+            Response::Error {
+                message: String::new(),
+                trace_id: TRICKY.into(),
+            },
+        ];
+        for resp in &resps {
+            assert_eq!(resp.to_json(), reference_to_json(resp), "{resp:?}");
+        }
+        // Non-finite bounds travel as `null` and decode to NaN.
+        let json = resps[0].to_json();
+        assert!(
+            json.contains(r#"{"estimate":null,"lo":null,"hi":null,"exact":false}"#),
+            "{json}"
+        );
+        let Response::Answer(back) = Response::from_json(&json).unwrap() else {
+            panic!("{json}")
+        };
+        let v = &back.groups[0].values[0];
+        assert!(v.lo.is_nan() && v.hi.is_nan());
+        assert_eq!(
+            v.estimate, 0.0,
+            "a null estimate decodes to the 0.0 default"
+        );
+        assert_eq!(back.group_names, tricky_answer(None).group_names);
+        assert_eq!(back.groups[0].key[0], Value::Str(TRICKY.into()));
+    }
+
+    #[test]
+    fn decodes_large_frames_in_linear_time() {
+        // A quadratic decode takes minutes on each of these; linear takes
+        // milliseconds even in a debug build.
+        let bound = std::time::Duration::from_secs(2);
+        let line = "{\"trace_id\":\"aqp-1\",\"stage\":\"≈ scan\",\"ms\":0.25}\n";
+        let text = line.repeat((1 << 20) / line.len() + 1);
+        let answer = WireAnswer {
+            group_names: vec!["a".into(), "b".into(), "c".into()],
+            agg_aliases: vec!["cnt".into(), "rev".into()],
+            groups: (0..3_000)
+                .map(|i| WireGroup {
+                    key: vec![
+                        Value::Str(format!("region-{}", i % 7)),
+                        Value::Str(format!("product-{i}")),
+                        Value::Num(f64::from(i % 13)),
+                    ],
+                    values: vec![
+                        WireValue {
+                            estimate: 10.5 * f64::from(i),
+                            lo: 9.0,
+                            hi: 12.25,
+                            exact: false,
+                        },
+                        WireValue {
+                            estimate: 3.0,
+                            lo: 3.0,
+                            hi: 3.0,
+                            exact: true,
+                        },
+                    ],
+                })
+                .collect(),
+            ..tricky_answer(None)
+        };
+        for resp in [
+            Response::Dump(text.clone()),
+            Response::Metrics(text),
+            Response::Answer(answer),
+        ] {
+            let json = resp.to_json();
+            let t = std::time::Instant::now();
+            let back = Response::from_json(&json).unwrap();
+            let took = t.elapsed();
+            assert!(
+                took < bound,
+                "{} KiB frame took {took:?}",
+                json.len() / 1024
+            );
+            assert_eq!(back.to_json(), json);
+        }
+    }
+
+    #[test]
+    fn from_answer_orders_groups_like_sort_by_key() {
+        use aqp_core::{ApproxGroup, ApproxValue, ServingTier};
+        use aqp_sampling::{ConfidenceInterval, Estimate};
+        let group = |k: &str, n: i64, v: f64| ApproxGroup {
+            key: vec![Datum::Utf8(k.into()), Datum::Int64(n)],
+            values: vec![ApproxValue {
+                estimate: Estimate {
+                    value: v,
+                    variance: 1.0,
+                    exact: false,
+                },
+                ci: ConfidenceInterval {
+                    lo: v - 1.0,
+                    hi: v + 1.0,
+                    confidence: 0.95,
+                },
+            }],
+        };
+        let answer = ApproxAnswer {
+            group_names: vec!["s".into(), "n".into()],
+            agg_aliases: vec!["cnt".into()],
+            groups: vec![
+                group("b", 1, 1.0),
+                group("a", 2, 2.0),
+                group("b", 1, 3.0),
+                group("a", 1, 4.0),
+                group("b", 0, 5.0),
+            ],
+            rows_scanned: 77,
+            tier: ServingTier::Overall,
+            partial: true,
+        };
+        let wire = WireAnswer::from_answer(&answer, true, Some(100), 1.5, false, "t".into());
+        let mut sorted = answer.clone();
+        sorted.sort_by_key();
+        let estimates: Vec<f64> = wire.groups.iter().map(|g| g.values[0].estimate).collect();
+        let expected: Vec<f64> = sorted.groups.iter().map(|g| g.values[0].value()).collect();
+        assert_eq!(estimates, expected);
+        assert_eq!(estimates, vec![4.0, 2.0, 5.0, 1.0, 3.0]);
+        assert_eq!(wire.tier, "overall");
+        assert_eq!(
+            (wire.partial, wire.rows_scanned, wire.effective_budget),
+            (true, 77, Some(100))
+        );
+        assert_eq!(
+            wire.groups[0].key,
+            vec![Value::Str("a".into()), Value::Num(1.0)]
+        );
     }
 
     #[test]
