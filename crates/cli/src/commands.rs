@@ -149,9 +149,8 @@ group ids) on three workloads — a dictionary group-by, an integer
 group-by, and an ungrouped filter — at 1 and 4 threads, and writes
 BENCH_kernels.json. Answers are bit-identical across modes by contract;
 --min-speedup F fails the command if the single-thread dictionary
-group-by speedup falls below F. AQP_KERNELS=scalar forces the scalar
-path process-wide for any command (explain --analyze shows which kernel
-each operator used).
+group-by speedup falls below F. Every other command runs the vectorized
+kernels (explain --analyze shows which kernel each operator used).
 
 bench pruning measures zone-map block pruning on a clustered view:
 range predicates at ~1%/5%/100% selectivity and a dictionary equality,
@@ -160,10 +159,10 @@ BENCH_pruning.json. Scans consult per-block min/max/null/dictionary
 summaries persisted in .aqpt files (recomputed lazily for v2 files) to
 skip blocks no row can match and to drop per-row predicate evaluation
 on blocks every row matches; answers are bit-identical either way by
-contract. AQP_PRUNE=off disables pruning process-wide; explain
---analyze and traces report blocks skipped/taken/scanned and rows
-pruned per operator, and aqp_prune_blocks_total{outcome=...} counts
-block outcomes whenever a prune plan is active.
+contract. Only bench pruning turns pruning off; explain --analyze and
+traces report blocks skipped/taken/scanned and rows pruned per
+operator, and aqp_prune_blocks_total{outcome=...} counts block outcomes
+whenever a prune plan is active.
 
 serve runs a concurrent TCP query server (4-byte length-prefixed JSON
 frames) over the same degradation ladder: per-class admission control
@@ -177,7 +176,8 @@ counts) and overload shed behaviour against an in-process server, plus
 semantic-cache cold-miss vs warm-hit p50 latency (BENCH_serving.json).
 AQP_FAULTS also accepts serving faults: accept-drop@N, write-stall@N,
 slow-read@N, exec-stall@N (comma-separated specs compose with storage
-faults).
+faults); serve and bench serving arm them on each server they bind,
+counting occurrences per server.
 
 The server keeps a semantic answer cache keyed on canonicalized plans:
 a repeated query (any whitespace/alias/predicate-order formatting) is
@@ -185,9 +185,8 @@ re-served from cache when the cached answer meets the request's
 confidence (and --max-rel-error) contract at equal-or-tighter bounds;
 concurrent identical misses execute once (single-flight). Answers served
 from cache carry cache_hit on the wire. --cache-capacity bounds entries
-(0 disables; LRU evicts beyond it), --cache-ttl-ms ages them out, the
-invalidate request drops everything after a table rebuild, and
-AQP_CACHE=off force-disables the cache regardless of flags.
+(0 disables; LRU evicts beyond it), --cache-ttl-ms ages them out, and
+the invalidate request drops everything after a table rebuild.
 
 Every query carries a trace id on the wire (client-supplied via
 --trace-id or server-generated) and gets it back on the answer, shed,

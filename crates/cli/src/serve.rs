@@ -17,12 +17,18 @@ use aqp::obs::json::Value;
 use aqp::obs::SloConfig;
 use aqp::prelude::*;
 use aqp::serving::{
-    AdmissionConfig, CacheConfig, Client, ClassLimits, ClientError, ContractClass, Request,
-    Response, RetryPolicy, Server, ServerConfig, ShadowConfig, WireAnswer,
+    fault, AdmissionConfig, CacheConfig, Client, ClassLimits, ClientError, ContractClass,
+    Request, Response, RetryPolicy, Server, ServerConfig, ServingFault, ShadowConfig, WireAnswer,
 };
 use aqp::storage::read_table_file;
 use std::io::Write;
 use std::time::{Duration, Instant};
+
+/// The serving faults named in `AQP_FAULTS` (storage kinds skipped),
+/// read once per command and armed on every server it binds.
+fn env_serving_faults() -> Vec<ServingFault> {
+    std::env::var("AQP_FAULTS").map(|s| fault::parse_specs(&s)).unwrap_or_default()
+}
 
 /// `serve` — run the concurrent query server until SIGTERM/SIGINT (or a
 /// `shutdown` request) drains it.
@@ -40,8 +46,8 @@ pub fn serve_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     });
     let drain_ms = args.get_or("drain-timeout-ms", 10_000u64)?;
     let metrics_out = args.optional("metrics-out");
-    // Semantic answer cache: --cache-capacity 0 (or AQP_CACHE=off in the
-    // environment) disables it; --cache-ttl-ms 0 means no TTL.
+    // Semantic answer cache: --cache-capacity 0 disables it;
+    // --cache-ttl-ms 0 means no TTL.
     let cache_capacity = args.get_or("cache-capacity", 256usize)?;
     let cache_ttl_ms = args.get_or("cache-ttl-ms", 0u64)?;
     // Observability: flight-recorder ring size and anomaly-dump path,
@@ -85,7 +91,6 @@ pub fn serve_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         cache: CacheConfig {
             capacity: cache_capacity,
             ttl: (cache_ttl_ms > 0).then(|| Duration::from_millis(cache_ttl_ms)),
-            enabled: cache_capacity > 0,
         },
         metrics_out: metrics_out.map(Into::into),
         install_signal_handlers: true,
@@ -101,6 +106,7 @@ pub fn serve_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             p99_limit: slo_p99_ms.map(|ms| Duration::from_millis(ms as u64)),
             min_requests: slo_min_requests,
         },
+        faults: env_serving_faults(),
     };
     let shadow_on = config.shadow.rate > 0.0;
     let server = Server::bind(system, config).map_err(boxed)?;
@@ -417,6 +423,7 @@ pub fn bench_serving_command(args: &Args, out: &mut dyn Write) -> Result<(), Cli
         .optional("out")
         .unwrap_or_else(|| "BENCH_serving.json".to_owned());
     args.finish()?;
+    let faults = env_serving_faults();
 
     let star = gen_sales(&SalesConfig { fact_rows: rows, zipf_z: 1.5, seed: 42 }).map_err(boxed)?;
     let view = star.denormalize("bench_view").map_err(boxed)?;
@@ -438,6 +445,7 @@ pub fn bench_serving_command(args: &Args, out: &mut dyn Write) -> Result<(), Cli
                 batch: ClassLimits { max_inflight: 2, max_queue: 2 },
             },
             cache: CacheConfig::disabled(),
+            faults: faults.clone(),
             ..ServerConfig::default()
         };
         let server = Server::bind(system, config).map_err(boxed)?;
@@ -549,6 +557,7 @@ pub fn bench_serving_command(args: &Args, out: &mut dyn Write) -> Result<(), Cli
             interactive: ClassLimits { max_inflight: 16, max_queue: 64 },
             batch: ClassLimits { max_inflight: 2, max_queue: 2 },
         },
+        faults: faults.clone(),
         ..ServerConfig::default()
     };
     let server = Server::bind(system, config).map_err(boxed)?;
@@ -614,6 +623,7 @@ pub fn bench_serving_command(args: &Args, out: &mut dyn Write) -> Result<(), Cli
         // Cache off: with it on, one leader would execute and everyone
         // else would hit, and shedding would never be exercised.
         cache: CacheConfig::disabled(),
+        faults: faults.clone(),
         ..ServerConfig::default()
     };
     let server = Server::bind(system, config).map_err(boxed)?;

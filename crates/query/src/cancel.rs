@@ -18,14 +18,11 @@
 //! the resilience ladder falls to a cheaper tier, a server surfaces a
 //! timeout.
 //!
-//! Tokens reach the executor two ways:
-//!
-//! * explicitly, via [`crate::ExecOptions::cancel`]; or
-//! * ambiently, via [`install`]: a thread-local token picked up by every
-//!   `execute` call on the installing thread until the guard drops. This
-//!   is how a serving layer bounds *all* scans a query triggers (sample
-//!   plans build their own `ExecOptions` internally) without threading a
-//!   token through every call signature.
+//! Tokens reach the executor one way, ambiently, via [`install`]: a
+//! thread-local token picked up by every `execute` call on the installing
+//! thread until the guard drops. This is how a serving layer bounds *all*
+//! scans a query triggers (sample plans build their own `ExecOptions`
+//! internally) without threading a token through every call signature.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -17,11 +17,11 @@
 //!   thread count (std scoped threads, no dependencies).
 //!
 //! Each morsel runs through one of two interchangeable implementations,
-//! selected by [`KernelMode`]:
+//! selected by [`ExecOptions::kernels`]:
 //!
-//! * the **scalar** reference loop ([`Scan::run_range`]) — row at a time,
+//! * the **scalar** reference loop (`Scan::run_range`) — row at a time,
 //!   simple enough to audit by eye; and
-//! * the **vectorised** kernels ([`crate::kernel`], the default) —
+//! * the **vectorised** kernels (the `kernel` module, the default) —
 //!   selection vectors, typed columnar filters, and a dense group-id fast
 //!   path, producing *bit-identical* partial maps several times faster.
 //!
@@ -32,7 +32,6 @@
 //! use the deterministic [`crate::hash`] hasher, so even map iteration
 //! order is reproducible across runs, modes, and thread counts.
 
-use crate::cancel::CancelToken;
 use crate::error::{QueryError, QueryResult};
 use crate::expr::{compile, CompiledExpr};
 use crate::kernel::{run_morsel_vectorized, DensePlan, GroupKey, GroupMap, MAX_FAST_KEY};
@@ -42,8 +41,6 @@ use crate::plan::Query;
 use crate::prune::{PruneDecision, PrunePlan};
 use crate::source::{DataSource, ResolvedColumn};
 use aqp_storage::{BitSet, Value, DEFAULT_MORSEL_ROWS};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Per-row weighting applied during aggregation.
@@ -71,66 +68,15 @@ impl Weighting<'_> {
 /// Which per-morsel scan implementation [`execute`] runs.
 ///
 /// Both produce byte-identical output (the differential oracle enforces
-/// it); the choice only affects speed. `Auto` — the default — resolves to
-/// the process-wide override set by [`set_kernel_mode`] if any, else the
-/// `AQP_KERNELS` environment variable (`scalar`/`off`/`0` force the
-/// reference loop; read once per process), else vectorised.
+/// it); the choice only affects speed. [`ExecOptions::kernels`] is the
+/// one place it is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Resolve from [`set_kernel_mode`] / `AQP_KERNELS`, default vectorised.
-    #[default]
-    Auto,
-    /// Force the row-at-a-time reference loop.
+    /// The row-at-a-time reference loop.
     Scalar,
-    /// Force the batch kernels of the vectorised pipeline.
+    /// The batch kernels of the vectorised pipeline (the default).
+    #[default]
     Vectorized,
-}
-
-/// Process-wide override consulted by [`KernelMode::Auto`]:
-/// 0 = none, 1 = scalar, 2 = vectorised.
-static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide kernel mode that [`KernelMode::Auto`] resolves to.
-///
-/// Exists so differential tests (and operators chasing a suspected kernel
-/// bug) can flip every query in the process to one implementation without
-/// threading options through call sites. An explicit
-/// [`ExecOptions::kernels`] still wins. `KernelMode::Auto` clears the
-/// override, restoring the `AQP_KERNELS` / default behaviour.
-pub fn set_kernel_mode(mode: KernelMode) {
-    let v = match mode {
-        KernelMode::Auto => 0,
-        KernelMode::Scalar => 1,
-        KernelMode::Vectorized => 2,
-    };
-    KERNEL_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The `AQP_KERNELS` environment default, read once per process.
-fn env_kernel_default() -> KernelMode {
-    static ENV: OnceLock<KernelMode> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("AQP_KERNELS") {
-        Ok(v) if matches!(v.to_ascii_lowercase().as_str(), "scalar" | "off" | "0") => {
-            KernelMode::Scalar
-        }
-        _ => KernelMode::Vectorized,
-    })
-}
-
-impl KernelMode {
-    /// Collapse `Auto` to a concrete choice: the [`set_kernel_mode`]
-    /// override first, then `AQP_KERNELS`, then vectorised. Explicit modes
-    /// return themselves.
-    pub fn resolve(self) -> KernelMode {
-        match self {
-            KernelMode::Auto => match KERNEL_OVERRIDE.load(Ordering::Relaxed) {
-                1 => KernelMode::Scalar,
-                2 => KernelMode::Vectorized,
-                _ => env_kernel_default(),
-            },
-            explicit => explicit,
-        }
-    }
 }
 
 /// Whether [`execute`] consults zone maps to skip (or take wholesale)
@@ -138,63 +84,15 @@ impl KernelMode {
 ///
 /// Pruning never changes the answer — only which work is avoided — by
 /// the same bit-identity contract as [`KernelMode`], and the differential
-/// oracle compares the two settings on every commit. `Auto` — the default
-/// — resolves to the process-wide override set by [`set_prune_mode`] if
-/// any, else the `AQP_PRUNE` environment variable (`off`/`0`/`false`
-/// disables; read once per process), else enabled.
+/// oracle compares the two settings on every commit.
+/// [`ExecOptions::pruning`] is the one place it is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruneMode {
-    /// Resolve from [`set_prune_mode`] / `AQP_PRUNE`, default enabled.
+    /// Zone-map pruning on (the default).
     #[default]
-    Auto,
-    /// Force zone-map pruning on.
     On,
-    /// Force every morsel down the ordinary scan path.
+    /// Every morsel goes down the ordinary scan path.
     Off,
-}
-
-/// Process-wide override consulted by [`PruneMode::Auto`]:
-/// 0 = none, 1 = on, 2 = off.
-static PRUNE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide prune mode that [`PruneMode::Auto`] resolves to.
-/// The same escape hatch as [`set_kernel_mode`]: differential tests (and
-/// operators bisecting a suspected pruning bug) can disable pruning for
-/// every query in the process. An explicit [`ExecOptions::pruning`] still
-/// wins; `PruneMode::Auto` clears the override.
-pub fn set_prune_mode(mode: PruneMode) {
-    let v = match mode {
-        PruneMode::Auto => 0,
-        PruneMode::On => 1,
-        PruneMode::Off => 2,
-    };
-    PRUNE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The `AQP_PRUNE` environment default, read once per process.
-fn env_prune_default() -> PruneMode {
-    static ENV: OnceLock<PruneMode> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("AQP_PRUNE") {
-        Ok(v) if matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false") => {
-            PruneMode::Off
-        }
-        _ => PruneMode::On,
-    })
-}
-
-impl PruneMode {
-    /// Collapse `Auto` to a concrete choice: the [`set_prune_mode`]
-    /// override first, then `AQP_PRUNE`, then enabled.
-    pub fn resolve(self) -> PruneMode {
-        match self {
-            PruneMode::Auto => match PRUNE_OVERRIDE.load(Ordering::Relaxed) {
-                1 => PruneMode::On,
-                2 => PruneMode::Off,
-                _ => env_prune_default(),
-            },
-            explicit => explicit,
-        }
-    }
 }
 
 /// Execution options.
@@ -216,18 +114,12 @@ pub struct ExecOptions<'a> {
     /// changes float rounding in merged aggregates; it exists as a knob so
     /// tests can force many morsels on small tables. Clamped to ≥ 1.
     pub morsel_rows: usize,
-    /// Scan implementation (default [`KernelMode::Auto`]). Never affects
-    /// the answer, only how fast it is computed.
+    /// Scan implementation (default [`KernelMode::Vectorized`]). Never
+    /// affects the answer, only how fast it is computed.
     pub kernels: KernelMode,
-    /// Zone-map block pruning (default [`PruneMode::Auto`]). Never
-    /// affects the answer, only which morsels avoid work.
+    /// Zone-map block pruning (default [`PruneMode::On`]). Never affects
+    /// the answer, only which morsels avoid work.
     pub pruning: PruneMode,
-    /// Cooperative cancellation token, checked at every morsel claim
-    /// point. When `None`, the ambient token installed on this thread via
-    /// [`crate::cancel::install`] (if any) applies instead. A tripped
-    /// token makes the scan return [`QueryError::Cancelled`] rather than
-    /// a partial answer.
-    pub cancel: Option<&'a CancelToken>,
 }
 
 impl Default for ExecOptions<'static> {
@@ -238,9 +130,8 @@ impl Default for ExecOptions<'static> {
             parallelism: 1,
             row_limit: None,
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            kernels: KernelMode::Auto,
-            pruning: PruneMode::Auto,
-            cancel: None,
+            kernels: KernelMode::default(),
+            pruning: PruneMode::default(),
         }
     }
 }
@@ -328,7 +219,7 @@ pub fn execute(
     };
     let truncated = n < total_rows;
     let num_aggs = query.aggregates.len();
-    let vectorized = opts.kernels.resolve() == KernelMode::Vectorized;
+    let vectorized = opts.kernels == KernelMode::Vectorized;
     let scan = Scan {
         group_cols: &group_cols,
         aggs: &aggs,
@@ -353,7 +244,7 @@ pub fn execute(
     // them lazily if the table was built before zone maps existed).
     // Pruning reasons about physical fact/wide-table blocks, so the fact
     // table anchors the star case; dimension-column leaves are opaque.
-    let prune_plan = if opts.pruning.resolve() == PruneMode::On {
+    let prune_plan = if opts.pruning == PruneMode::On {
         let table = match source {
             DataSource::Wide(t) => *t,
             DataSource::Star(s) => s.fact(),
@@ -371,8 +262,10 @@ pub fn execute(
     //
     // Span timers live on this control thread only, bracketing the whole
     // scoped-thread region; worker closures touch no observability state,
-    // so instrumentation cannot perturb the morsel-order merge.
-    let token = opts.cancel.cloned().or_else(crate::cancel::current);
+    // so instrumentation cannot perturb the morsel-order merge. The scan
+    // honours the cancel token installed on this thread by
+    // `cancel::install`, if any.
+    let token = crate::cancel::current();
     let (partials, schedule, cancelled) = {
         let _span = aqp_obs::span("query.scan");
         run_morsels_cancellable(n, opts.morsel_rows, opts.parallelism, token.as_ref(), |m| {
@@ -1113,23 +1006,6 @@ mod tests {
             .unwrap();
         let out = execute(&DataSource::Star(&star), &q, &ExecOptions::default()).unwrap();
         assert_eq!(out.groups[0].aggs[0].rows, 2);
-    }
-
-    #[test]
-    fn kernel_mode_resolution() {
-        // Explicit modes resolve to themselves regardless of globals.
-        assert_eq!(KernelMode::Scalar.resolve(), KernelMode::Scalar);
-        assert_eq!(KernelMode::Vectorized.resolve(), KernelMode::Vectorized);
-        // The process override steers Auto. (Safe under parallel tests:
-        // both modes are bit-identical by contract, so concurrently
-        // running queries cannot observe the flip in their answers.)
-        set_kernel_mode(KernelMode::Scalar);
-        assert_eq!(KernelMode::Auto.resolve(), KernelMode::Scalar);
-        set_kernel_mode(KernelMode::Vectorized);
-        assert_eq!(KernelMode::Auto.resolve(), KernelMode::Vectorized);
-        set_kernel_mode(KernelMode::Auto);
-        // Back on Auto, the env default decides; either way it is concrete.
-        assert_ne!(KernelMode::Auto.resolve(), KernelMode::Auto);
     }
 
     #[test]

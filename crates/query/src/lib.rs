@@ -24,8 +24,9 @@
 //!   queries of paper Section 4.2.2 (`WHERE bitmask & M = 0`, aggregates
 //!   scaled by the inverse sampling rate). Each scan morsel runs either a
 //!   scalar reference loop or the vectorised kernels (selection vectors,
-//!   typed columnar filters, dense group ids — [`KernelMode`], default
-//!   vectorised); the two are bit-identical by contract;
+//!   typed columnar filters, dense group ids), chosen per call by
+//!   [`ExecOptions::kernels`] (default vectorised); the two are
+//!   bit-identical by contract;
 //! * [`QueryOutput`] / [`AggState`] — per-group raw tallies (weighted and
 //!   unweighted sums, sums of squares) from which the AQP layer forms
 //!   estimates and confidence intervals.
@@ -54,7 +55,7 @@ pub mod source;
 
 pub use cancel::{CancelCause, CancelToken};
 pub use error::{QueryError, QueryResult};
-pub use exec::{execute, set_kernel_mode, set_prune_mode, ExecOptions, KernelMode, PruneMode, Weighting};
+pub use exec::{execute, ExecOptions, KernelMode, PruneMode, Weighting};
 pub use expr::{CmpOp, Expr};
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use join::{Dimension, StarSchema};

@@ -58,31 +58,18 @@ pub struct CacheConfig {
     /// Entry time-to-live; `None` = entries live until evicted or
     /// invalidated.
     pub ttl: Option<Duration>,
-    /// Master switch; [`CacheConfig::env_enabled`] lets `AQP_CACHE=off`
-    /// force it off without touching flags.
-    pub enabled: bool,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig { capacity: 256, ttl: None, enabled: true }
+        CacheConfig { capacity: 256, ttl: None }
     }
 }
 
 impl CacheConfig {
-    /// A configuration with the cache fully off.
+    /// A configuration with the cache fully off (capacity 0).
     pub fn disabled() -> CacheConfig {
-        CacheConfig { capacity: 0, ttl: None, enabled: false }
-    }
-
-    /// Whether the `AQP_CACHE` environment variable permits caching
-    /// (`off` or `0` force-disables; anything else — including unset —
-    /// leaves the config in charge).
-    pub fn env_enabled() -> bool {
-        match std::env::var("AQP_CACHE") {
-            Ok(v) => v != "off" && v != "0",
-            Err(_) => true,
-        }
+        CacheConfig { capacity: 0, ttl: None }
     }
 }
 
@@ -175,7 +162,6 @@ impl Drop for FlightGuard<'_> {
 /// thread.
 pub struct SemanticCache {
     config: CacheConfig,
-    enabled: bool,
     epoch: AtomicU64,
     clock: AtomicU64,
     state: Mutex<FxHashMap<String, Entry>>,
@@ -186,7 +172,7 @@ pub struct SemanticCache {
 impl std::fmt::Debug for SemanticCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SemanticCache")
-            .field("enabled", &self.enabled)
+            .field("enabled", &self.enabled())
             .field("capacity", &self.config.capacity)
             .field("epoch", &self.epoch.load(Ordering::Relaxed))
             .field("len", &self.len())
@@ -195,13 +181,10 @@ impl std::fmt::Debug for SemanticCache {
 }
 
 impl SemanticCache {
-    /// Build a cache; `AQP_CACHE=off` (or capacity 0) disables it no
-    /// matter what the config says.
+    /// Build a cache; capacity 0 disables it.
     pub fn new(config: CacheConfig) -> SemanticCache {
-        let enabled = config.enabled && config.capacity > 0 && CacheConfig::env_enabled();
         SemanticCache {
             config,
-            enabled,
             epoch: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             state: Mutex::new(HashMap::default()),
@@ -210,9 +193,9 @@ impl SemanticCache {
         }
     }
 
-    /// Whether lookups/inserts are active.
+    /// Whether lookups/inserts are active (capacity above 0).
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.config.capacity > 0
     }
 
     /// Current epoch (bumped by [`SemanticCache::invalidate`]).
@@ -254,18 +237,28 @@ impl SemanticCache {
         contract: &AnswerContract,
         deadline: Option<Instant>,
     ) -> CacheDecision<'a> {
-        if !self.enabled {
+        if !self.enabled() {
             aqp_obs::counter("aqp_cache_bypass_total", &[]).inc();
             return CacheDecision::Bypass;
         }
         let key = self.key(table, query);
+        let hit = |(answer, confidence)| {
+            aqp_obs::counter("aqp_cache_hit_total", &[]).inc();
+            CacheDecision::Hit(Box::new(answer), confidence)
+        };
         loop {
-            if let Some((answer, confidence)) = self.lookup(&key, contract, query) {
-                aqp_obs::counter("aqp_cache_hit_total", &[]).inc();
-                return CacheDecision::Hit(Box::new(answer), confidence);
+            if let Some(found) = self.lookup(&key, contract, query) {
+                return hit(found);
             }
             let mut flights = self.flights.lock().expect("cache flights poisoned");
             if !flights.contains(&key.text) {
+                // A leader inserts its answer before it releases its
+                // flight, so one that finished after the lookup above
+                // left the answer behind: look again before leading, or
+                // this request would execute the key a second time.
+                if let Some(found) = self.lookup(&key, contract, query) {
+                    return hit(found);
+                }
                 flights.insert(key.text.clone());
                 drop(flights);
                 aqp_obs::counter("aqp_cache_miss_total", &[]).inc();
@@ -328,7 +321,7 @@ impl SemanticCache {
     /// Insert an answer (used by [`FlightGuard::complete`]). Evicts LRU
     /// entries down to capacity.
     fn insert(&self, key: &PlanKey, answer: ApproxAnswer, confidence: f64) {
-        if answer.partial || !self.enabled {
+        if answer.partial || !self.enabled() {
             return;
         }
         let mut state = self.state.lock().expect("cache state poisoned");
@@ -409,7 +402,7 @@ mod tests {
     }
 
     fn cache(capacity: usize) -> SemanticCache {
-        SemanticCache::new(CacheConfig { capacity, ttl: None, enabled: true })
+        SemanticCache::new(CacheConfig { capacity, ttl: None })
     }
 
     fn run_miss(c: &SemanticCache, table: &str, q: &Query, a: &ApproxAnswer) {
@@ -517,7 +510,6 @@ mod tests {
         let c = SemanticCache::new(CacheConfig {
             capacity: 8,
             ttl: Some(Duration::from_millis(1)),
-            enabled: true,
         });
         run_miss(&c, "v", &query("n"), &answer(1.0, 0.1, false));
         std::thread::sleep(Duration::from_millis(5));
@@ -552,8 +544,9 @@ mod tests {
             c.decide("v", &query("n"), &AnswerContract::at_confidence(0.95), None),
             CacheDecision::Bypass
         ));
-        let zero = SemanticCache::new(CacheConfig { capacity: 0, ttl: None, enabled: true });
-        assert!(!zero.enabled());
+        let zero =
+            SemanticCache::new(CacheConfig { capacity: 0, ttl: Some(Duration::from_secs(1)) });
+        assert!(!zero.enabled(), "capacity 0 disables the cache whatever the ttl");
     }
 
     #[test]

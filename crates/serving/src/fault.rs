@@ -4,16 +4,21 @@
 //! module injects the *network and scheduling* faults a server meets in
 //! production: connections dropped at accept time, responses stalling
 //! mid-write, clients that trickle their request bytes, and executions
-//! that hang until the deadline reaps them. The spec grammar and the
-//! `AQP_FAULTS` environment variable are shared with the storage layer —
-//! each layer's parser ignores the other's kinds, so one variable can
-//! arm either (or, comma-separated, both):
+//! that hang until the deadline reaps them. Faults are armed per server
+//! through [`ServerConfig::faults`](crate::ServerConfig::faults), and each
+//! server counts its own occurrences, so two servers in one process never
+//! fire each other's faults. ([`install`] is the one process-wide entry
+//! point left: it adds a plan to servers bound while its guard lives,
+//! for callers that cannot set the config.) The spec grammar is shared
+//! with the storage layer's `AQP_FAULTS` — each layer's parser ignores
+//! the other's kinds, so one comma-separated list can arm either or both
+//! (the CLI reads `AQP_FAULTS` when it binds a server):
 //!
 //! | spec | effect |
 //! |---|---|
 //! | `accept-drop@N` | the (N+1)-th accepted connection is dropped before any read |
-//! | `write-stall@N` | the (N+1)-th response write stalls ~300ms first |
-//! | `slow-read@N` | the (N+1)-th request read stalls ~200ms (a slow client) |
+//! | `write-stall@N` | the (N+1)-th response write stalls ~250ms first |
+//! | `slow-read@N` | the (N+1)-th request read stalls ~250ms (a slow client) |
 //! | `exec-stall@N` | the (N+1)-th query execution blocks until its cancel token trips (or a 2s cap) |
 //!
 //! `exec-stall` is the CI recipe for a *forced, deterministic timeout*:
@@ -24,7 +29,7 @@
 
 use aqp_query::CancelToken;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long `write-stall` and `slow-read` pause.
@@ -75,7 +80,7 @@ impl ServingFault {
 /// fault kind) return `None`.
 pub fn parse_spec(spec: &str) -> Option<ServingFault> {
     // Strip an optional `:substr` scope for grammar compatibility with
-    // the storage specs; serving faults are process-global.
+    // the storage specs; serving faults are scoped by server, not path.
     let body = spec.split_once(':').map_or(spec, |(b, _)| b);
     let (kind, arg) = body.split_once('@')?;
     let nth = arg.parse::<usize>().ok()?;
@@ -88,72 +93,44 @@ pub fn parse_spec(spec: &str) -> Option<ServingFault> {
     }
 }
 
-/// The serving faults requested via `AQP_FAULTS` (parsed once per
-/// process; comma-separated specs allowed, non-serving kinds skipped).
-pub fn env_plan() -> Vec<ServingFault> {
-    static ENV: OnceLock<Vec<ServingFault>> = OnceLock::new();
-    ENV.get_or_init(|| {
-        std::env::var("AQP_FAULTS")
-            .map(|s| s.split(',').filter_map(parse_spec).collect())
-            .unwrap_or_default()
-    })
-    .clone()
+/// Parse a comma-separated spec list (the `AQP_FAULTS` format),
+/// skipping every non-serving kind.
+pub fn parse_specs(specs: &str) -> Vec<ServingFault> {
+    specs.split(',').filter_map(parse_spec).collect()
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    accepts: AtomicUsize,
-    writes: AtomicUsize,
-    reads: AtomicUsize,
-    execs: AtomicUsize,
-}
+/// Faults added to every server bound while an [`install`] guard lives.
+static INSTALLED: Mutex<Vec<ServingFault>> = Mutex::new(Vec::new());
+/// Serializes [`install`] holders.
+static HOLDERS: Mutex<()> = Mutex::new(());
 
-struct State {
-    plan: Vec<ServingFault>,
-    counters: Counters,
-}
-
-fn state() -> &'static Mutex<State> {
-    static STATE: OnceLock<Mutex<State>> = OnceLock::new();
-    STATE.get_or_init(|| {
-        Mutex::new(State {
-            plan: env_plan(),
-            counters: Counters::default(),
-        })
-    })
-}
-
-fn serial_lock() -> &'static Mutex<()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    &SERIAL
-}
-
-/// Keeps installed faults active; dropping restores the env plan and
-/// releases the cross-test serialization lock.
+/// Keeps an [`install`]ed plan in force; dropping it empties the plan
+/// and lets the next holder in.
 pub struct FaultGuard {
-    _serial: MutexGuard<'static, ()>,
+    _holder: MutexGuard<'static, ()>,
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        let mut st = state().lock().expect("serving fault state poisoned");
-        st.plan = env_plan();
-        st.counters = Counters::default();
+        INSTALLED.lock().unwrap_or_else(PoisonError::into_inner).clear();
     }
 }
 
-/// Install `faults` until the returned guard drops. Serializes callers
-/// so parallel tests never observe each other's faults.
+/// Add `faults` to every server bound (not every server running) until
+/// the guard drops; holders are serialized. A server reads this plan
+/// once, in `Server::bind`, and counts occurrences itself. This exists
+/// for callers that bind a server from a `ServerConfig` they do not
+/// build — the benchmark's self-test arms its servers this way.
+/// Everything else sets [`ServerConfig::faults`](crate::ServerConfig::faults).
 pub fn install(faults: Vec<ServingFault>) -> FaultGuard {
-    let serial = match serial_lock().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let mut st = state().lock().expect("serving fault state poisoned");
-    st.plan = faults;
-    st.counters = Counters::default();
-    drop(st);
-    FaultGuard { _serial: serial }
+    let holder = HOLDERS.lock().unwrap_or_else(PoisonError::into_inner);
+    *INSTALLED.lock().unwrap_or_else(PoisonError::into_inner) = faults;
+    FaultGuard { _holder: holder }
+}
+
+/// The plan a server bound now adds to its configured faults.
+pub(crate) fn installed() -> Vec<ServingFault> {
+    INSTALLED.lock().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
 fn fault_hit(kind: &'static str) {
@@ -161,80 +138,87 @@ fn fault_hit(kind: &'static str) {
     aqp_obs::event::warn("serving::fault", "injected serving fault fired", &[("kind", kind)]);
 }
 
-/// Consult the plan at one hook point; returns the matching fault if its
-/// occurrence index matches the running counter for that hook.
-fn check(select: impl Fn(&ServingFault) -> Option<usize>, counter: impl Fn(&Counters) -> &AtomicUsize) -> bool {
-    let st = state().lock().expect("serving fault state poisoned");
-    let seen = counter(&st.counters).fetch_add(1, Ordering::Relaxed);
-    st.plan.iter().any(|f| select(f) == Some(seen))
+/// One server's armed faults and its per-hook occurrence counters.
+#[derive(Debug, Default)]
+pub(crate) struct Faults {
+    plan: Vec<ServingFault>,
+    accepts: AtomicUsize,
+    writes: AtomicUsize,
+    reads: AtomicUsize,
+    execs: AtomicUsize,
 }
 
-/// Accept-time hook: `true` means drop this connection now.
-pub fn accept_drop() -> bool {
-    let hit = check(
-        |f| match f {
+impl Faults {
+    pub(crate) fn new(plan: Vec<ServingFault>) -> Faults {
+        Faults { plan, ..Faults::default() }
+    }
+
+    /// Count one occurrence at a hook and report whether a planned fault
+    /// targets it; an empty plan costs one branch.
+    fn check(
+        &self,
+        counter: &AtomicUsize,
+        select: impl Fn(&ServingFault) -> Option<usize>,
+    ) -> bool {
+        if self.plan.is_empty() {
+            return false;
+        }
+        let seen = counter.fetch_add(1, Ordering::Relaxed);
+        self.plan.iter().any(|f| select(f) == Some(seen))
+    }
+
+    /// Accept-time hook: `true` means drop this connection now.
+    pub(crate) fn accept_drop(&self) -> bool {
+        let hit = self.check(&self.accepts, |f| match f {
             ServingFault::AcceptDrop { nth } => Some(*nth),
             _ => None,
-        },
-        |c| &c.accepts,
-    );
-    if hit {
-        fault_hit("accept-drop");
+        });
+        if hit {
+            fault_hit("accept-drop");
+        }
+        hit
     }
-    hit
-}
 
-/// Response-write hook: stalls [`STALL`] when the fault fires.
-pub fn write_stall() {
-    let hit = check(
-        |f| match f {
+    /// Response-write hook: stalls [`STALL`] when the fault fires.
+    pub(crate) fn write_stall(&self) {
+        let hit = self.check(&self.writes, |f| match f {
             ServingFault::WriteStall { nth } => Some(*nth),
             _ => None,
-        },
-        |c| &c.writes,
-    );
-    if hit {
-        fault_hit("write-stall");
-        std::thread::sleep(STALL);
+        });
+        if hit {
+            fault_hit("write-stall");
+            std::thread::sleep(STALL);
+        }
     }
-}
 
-/// Request-read hook: stalls [`STALL`] when the fault fires.
-pub fn slow_read() {
-    let hit = check(
-        |f| match f {
+    /// Request-read hook: stalls [`STALL`] when the fault fires.
+    pub(crate) fn slow_read(&self) {
+        let hit = self.check(&self.reads, |f| match f {
             ServingFault::SlowRead { nth } => Some(*nth),
             _ => None,
-        },
-        |c| &c.reads,
-    );
-    if hit {
-        fault_hit("slow-read");
-        std::thread::sleep(STALL);
+        });
+        if hit {
+            fault_hit("slow-read");
+            std::thread::sleep(STALL);
+        }
     }
-}
 
-/// Execution hook: blocks until `token` trips (or [`EXEC_STALL_CAP`])
-/// when the fault fires. Placed before the ladder walk, it simulates a
-/// scan that will not finish in time.
-pub fn exec_stall(token: Option<&CancelToken>) {
-    let hit = check(
-        |f| match f {
+    /// Execution hook: blocks until `token` trips (or [`EXEC_STALL_CAP`])
+    /// when the fault fires. Placed before the ladder walk, it simulates
+    /// a scan that will not finish in time.
+    pub(crate) fn exec_stall(&self, token: &CancelToken) {
+        let hit = self.check(&self.execs, |f| match f {
             ServingFault::ExecStall { nth } => Some(*nth),
             _ => None,
-        },
-        |c| &c.execs,
-    );
-    if !hit {
-        return;
-    }
-    fault_hit("exec-stall");
-    let cap = Instant::now() + EXEC_STALL_CAP;
-    while Instant::now() < cap {
-        if token.is_some_and(CancelToken::is_cancelled) {
+        });
+        if !hit {
             return;
         }
-        std::thread::sleep(Duration::from_millis(5));
+        fault_hit("exec-stall");
+        let cap = Instant::now() + EXEC_STALL_CAP;
+        while Instant::now() < cap && !token.is_cancelled() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 }
 
@@ -251,41 +235,46 @@ mod tests {
         assert_eq!(parse_spec("bitflip@700"), None, "storage kind skipped");
         assert_eq!(parse_spec("missing"), None, "no @arg");
         assert_eq!(parse_spec("exec-stall@x"), None, "bad arg");
+        assert_eq!(
+            parse_specs("bitflip@700:family,exec-stall@0,missing,slow-read@2"),
+            vec![ServingFault::ExecStall { nth: 0 }, ServingFault::SlowRead { nth: 2 }]
+        );
+        assert!(parse_specs("").is_empty());
     }
 
     #[test]
     fn nth_occurrence_fires_once() {
-        let _g = install(vec![ServingFault::AcceptDrop { nth: 1 }]);
-        assert!(!accept_drop(), "occurrence 0 passes");
-        assert!(accept_drop(), "occurrence 1 drops");
-        assert!(!accept_drop(), "occurrence 2 passes");
+        let faults = Faults::new(vec![ServingFault::AcceptDrop { nth: 1 }]);
+        assert!(!faults.accept_drop(), "occurrence 0 passes");
+        assert!(faults.accept_drop(), "occurrence 1 drops");
+        assert!(!faults.accept_drop(), "occurrence 2 passes");
+        // Another plan counts its own occurrences from zero.
+        let other = Faults::new(vec![ServingFault::AcceptDrop { nth: 0 }]);
+        assert!(other.accept_drop());
+    }
+
+    #[test]
+    fn installed_plan_lasts_as_long_as_its_guard() {
+        // A plan that can never fire: servers other tests bind meanwhile
+        // pick it up harmlessly.
+        let never = vec![ServingFault::AcceptDrop { nth: usize::MAX }];
+        let guard = install(never.clone());
+        assert_eq!(installed(), never);
+        drop(guard);
+        assert!(installed().is_empty());
     }
 
     #[test]
     fn exec_stall_releases_on_cancel() {
-        let _g = install(vec![ServingFault::ExecStall { nth: 0 }]);
+        let faults = Faults::new(vec![ServingFault::ExecStall { nth: 0 }]);
         let token = CancelToken::new();
         token.cancel();
         let t0 = Instant::now();
-        exec_stall(Some(&token));
+        faults.exec_stall(&token);
         assert!(t0.elapsed() < Duration::from_millis(500), "released by tripped token");
         // Subsequent executions unaffected.
         let t0 = Instant::now();
-        exec_stall(Some(&token));
+        faults.exec_stall(&token);
         assert!(t0.elapsed() < Duration::from_millis(50));
-    }
-
-    #[test]
-    fn guard_restores_clean_state() {
-        {
-            let _g = install(vec![ServingFault::SlowRead { nth: 0 }]);
-            let t0 = Instant::now();
-            slow_read();
-            assert!(t0.elapsed() >= STALL);
-        }
-        let _g = install(vec![]);
-        let t0 = Instant::now();
-        slow_read();
-        assert!(t0.elapsed() < Duration::from_millis(50), "no fault after guard drop");
     }
 }

@@ -30,7 +30,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmitOutcome};
 use crate::cache::{CacheConfig, CacheDecision, SemanticCache};
-use crate::fault;
+use crate::fault::{self, Faults, ServingFault};
 use crate::protocol::{
     write_frame, ContractClass, FrameRead, FrameReader, Request, Response, WireAnswer,
 };
@@ -114,6 +114,9 @@ pub struct ServerConfig {
     pub shadow: ShadowConfig,
     /// SLO watchdog thresholds.
     pub slo: SloConfig,
+    /// Serving faults armed on this server only; each fires at its
+    /// (N+1)-th occurrence counted from this server's start.
+    pub faults: Vec<ServingFault>,
 }
 
 impl Default for ServerConfig {
@@ -132,6 +135,7 @@ impl Default for ServerConfig {
             flight_dump: None,
             shadow: ShadowConfig::default(),
             slo: SloConfig::default(),
+            faults: Vec::new(),
         }
     }
 }
@@ -214,6 +218,7 @@ struct Inner {
     /// Taken (and drained) exactly once at server drain.
     shadow: Mutex<Option<ShadowAuditor>>,
     trace_counter: AtomicU64,
+    faults: Faults,
 }
 
 /// A bound, ready-to-run query server.
@@ -250,6 +255,7 @@ impl Server {
         } else {
             None
         });
+        let faults = Faults::new([config.faults.clone(), fault::installed()].concat());
         Ok(Server {
             inner: Arc::new(Inner {
                 system,
@@ -264,6 +270,7 @@ impl Server {
                 slo,
                 shadow,
                 trace_counter: AtomicU64::new(1),
+                faults,
             }),
             listener,
         })
@@ -295,7 +302,7 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     self.inner.tallies.connections.fetch_add(1, Ordering::Relaxed);
-                    if fault::accept_drop() {
+                    if self.inner.faults.accept_drop() {
                         // Injected accept-time drop: close without a byte.
                         drop(stream);
                         continue;
@@ -433,7 +440,7 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                 // `read` stage covers the whole reassembly; a frame that
                 // arrived within one tick reads as ~0.
                 let mut timeline = Timeline::start_at(frame_started.take().unwrap_or_else(Instant::now));
-                fault::slow_read();
+                inner.faults.slow_read();
                 timeline.mark("read");
                 let (response, meta) = match Request::from_json(&payload) {
                     Ok(request) => dispatch(&inner, request, &mut timeline),
@@ -449,7 +456,7 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                         )
                     }
                 };
-                fault::write_stall();
+                inner.faults.write_stall();
                 let json = response.to_json();
                 timeline.mark("serialize");
                 let wrote = write_frame(&mut writer, &json);
@@ -821,7 +828,7 @@ fn serve_query(
         None => CancelToken::new(),
     };
     // Injected execution stall (CI's deterministic forced timeout).
-    fault::exec_stall(Some(&token));
+    inner.faults.exec_stall(&token);
 
     // A deadline that expired before execution even began (queue wait,
     // an injected stall) is a miss, not a degradation opportunity — a

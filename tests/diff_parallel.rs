@@ -385,66 +385,6 @@ fn scalar_and_vectorized_kernels_bit_identical() {
 }
 
 #[test]
-fn union_all_rewrite_plan_identical_across_kernel_modes() {
-    // The sampler's UNION ALL plan runs weighted, bitmask-filtered scans
-    // through the same executor; forcing the process-wide kernel mode
-    // must not move a single bit of any estimate or interval. The global
-    // override is restored to Auto even on panic so concurrently running
-    // tests (which are mode-agnostic by this very contract) see a clean
-    // default afterwards.
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            aqp::query::set_kernel_mode(KernelMode::Auto);
-        }
-    }
-    let _restore = Restore;
-
-    let t = test_table(3_000, 17);
-    let sampler = SmallGroupSampler::build(
-        &t,
-        SmallGroupConfig {
-            seed: 5,
-            ..SmallGroupConfig::with_rates(0.1, 0.5)
-        },
-    )
-    .unwrap();
-    let queries = [
-        Query::builder().count().group_by("cat").build().unwrap(),
-        Query::builder()
-            .count()
-            .sum("amt")
-            .aggregate(AggExpr::avg("val", "avg_val"))
-            .group_by("cat")
-            .group_by("sub")
-            .build()
-            .unwrap(),
-    ];
-    for (qi, q) in queries.iter().enumerate() {
-        aqp::query::set_kernel_mode(KernelMode::Scalar);
-        let mut scalar = sampler.answer(q, 0.95).unwrap();
-        scalar.sort_by_key();
-        aqp::query::set_kernel_mode(KernelMode::Vectorized);
-        let mut vect = sampler.answer(q, 0.95).unwrap();
-        vect.sort_by_key();
-        assert_eq!(scalar.groups.len(), vect.groups.len(), "query {qi}");
-        for (a, b) in scalar.groups.iter().zip(&vect.groups) {
-            assert_eq!(a.key, b.key, "query {qi}");
-            for (va, vb) in a.values.iter().zip(&b.values) {
-                assert_eq!(
-                    va.value().to_bits(),
-                    vb.value().to_bits(),
-                    "query {qi}: estimate for {:?}",
-                    a.key
-                );
-                assert_eq!(va.ci.lo.to_bits(), vb.ci.lo.to_bits(), "query {qi}: ci.lo");
-                assert_eq!(va.ci.hi.to_bits(), vb.ci.hi.to_bits(), "query {qi}: ci.hi");
-            }
-        }
-    }
-}
-
-#[test]
 fn union_all_rewrite_plan_bit_identical_across_threads() {
     // The sampler's answer path is the paper's UNION ALL over strata
     // (small-group tables + bitmask-filtered overall sample). Thread

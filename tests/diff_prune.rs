@@ -240,61 +240,3 @@ fn pruning_engages_and_reports_block_outcomes() {
         "pruning off reports zeros: {op:?}"
     );
 }
-
-#[test]
-fn sampler_answers_bit_identical_across_prune_modes() {
-    // End-to-end through the paper's UNION ALL rewrite: forcing the
-    // process-wide prune mode must not move a bit of any estimate or
-    // interval. The override is restored even on panic so concurrent
-    // tests see the default.
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            aqp::query::set_prune_mode(PruneMode::Auto);
-        }
-    }
-    let _restore = Restore;
-
-    let t = clustered_table(BLOCK * 2, 17);
-    let sampler = SmallGroupSampler::build(
-        &t,
-        SmallGroupConfig {
-            seed: 5,
-            ..SmallGroupConfig::with_rates(0.1, 0.5)
-        },
-    )
-    .unwrap();
-    let queries = [
-        Query::builder().count().group_by("cat").build().unwrap(),
-        Query::builder()
-            .count()
-            .sum("amt")
-            .aggregate(AggExpr::avg("val", "avg_val"))
-            .group_by("cat")
-            .filter(Expr::cmp("k", CmpOp::Lt, BLOCK as i64))
-            .build()
-            .unwrap(),
-    ];
-    for (qi, q) in queries.iter().enumerate() {
-        aqp::query::set_prune_mode(PruneMode::Off);
-        let mut off = sampler.answer(q, 0.95).unwrap();
-        off.sort_by_key();
-        aqp::query::set_prune_mode(PruneMode::On);
-        let mut on = sampler.answer(q, 0.95).unwrap();
-        on.sort_by_key();
-        assert_eq!(off.groups.len(), on.groups.len(), "query {qi}");
-        for (a, b) in off.groups.iter().zip(&on.groups) {
-            assert_eq!(a.key, b.key, "query {qi}");
-            for (va, vb) in a.values.iter().zip(&b.values) {
-                assert_eq!(
-                    va.value().to_bits(),
-                    vb.value().to_bits(),
-                    "query {qi}: estimate for {:?}",
-                    a.key
-                );
-                assert_eq!(va.ci.lo.to_bits(), vb.ci.lo.to_bits(), "query {qi}: ci.lo");
-                assert_eq!(va.ci.hi.to_bits(), vb.ci.hi.to_bits(), "query {qi}: ci.hi");
-            }
-        }
-    }
-}

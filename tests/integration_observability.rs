@@ -3,12 +3,13 @@
 //! the `dump` verb and on-anomaly via the dump file), and the shadow
 //! accuracy auditor's realized-coverage-vs-promised-CI audit over a
 //! mixed workload — including the proof that shadow re-execution never
-//! consumes an admission slot.
+//! consumes an admission slot — and serving faults that stay with the
+//! server that arms them.
 
 use aqp::obs::RequestRecord;
 use aqp::prelude::*;
 use aqp::serving::{
-    fault, CacheConfig, Client, ContractClass, Request, Response, RetryPolicy, Server,
+    CacheConfig, Client, ContractClass, Request, Response, RetryPolicy, Server,
     ServerConfig, ServingFault, ShadowConfig,
 };
 use aqp::workload::CoverageBucket;
@@ -149,11 +150,11 @@ fn anomaly_dump_file_contains_the_timed_out_trace() {
     // exec-stall@0 blocks the first execution until its deadline token
     // trips: a deterministic timeout, which is an anomaly, which must
     // dump the flight ring to the configured path.
-    let _guard = fault::install(vec![ServingFault::ExecStall { nth: 0 }]);
     let (addr, handle, join) = start_server(
         ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
         ServerConfig {
             flight_dump: Some(dump_path.clone()),
+            faults: vec![ServingFault::ExecStall { nth: 0 }],
             ..ServerConfig::default()
         },
     );
@@ -202,6 +203,52 @@ fn anomaly_dump_file_contains_the_timed_out_trace() {
     handle.shutdown();
     join.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serving_faults_are_scoped_to_the_server_that_arms_them() {
+    // Two servers in one process; only the second is armed with
+    // exec-stall@0. The unarmed server is queried first, so a fault plan
+    // shared across servers would stall (and time out) its query. (This
+    // binary, not integration_serving, hosts it: there a second stall
+    // would move the fault counter that test reconciles.)
+    let view = sales_view(5_000);
+    let (plain_addr, plain_handle, plain_join) = start_server(
+        ResilientSystem::exact_only(view.clone()).with_threads(2),
+        ServerConfig::default(),
+    );
+    let (armed_addr, armed_handle, armed_join) = start_server(
+        ResilientSystem::exact_only(view).with_threads(2),
+        ServerConfig {
+            faults: vec![ServingFault::ExecStall { nth: 0 }],
+            ..ServerConfig::default()
+        },
+    );
+    let deadline_query = Request::Query {
+        sql: SQL.into(),
+        class: ContractClass::Interactive,
+        deadline_ms: Some(1_000),
+        row_budget: None,
+        confidence: None,
+        max_rel_error: None,
+        trace_id: None,
+    };
+    let mut plain = Client::new(plain_addr, RetryPolicy::no_retry());
+    match plain.request(&deadline_query).unwrap() {
+        Response::Answer(a) => assert_eq!(a.tier, "exact"),
+        other => panic!("the unarmed server must answer, got {other:?}"),
+    }
+    let mut armed = Client::new(armed_addr, RetryPolicy::no_retry());
+    match armed.request(&deadline_query).unwrap() {
+        Response::Timeout { .. } => {}
+        other => panic!("the armed server's first query must stall, got {other:?}"),
+    }
+    plain_handle.shutdown();
+    armed_handle.shutdown();
+    let plain_report = plain_join.join().unwrap().unwrap();
+    let armed_report = armed_join.join().unwrap().unwrap();
+    assert_eq!((plain_report.answered, plain_report.timeouts), (1, 0));
+    assert_eq!((armed_report.answered, armed_report.timeouts), (0, 1));
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Integration tests for the concurrent query server: overload soak,
-//! deadline-driven degradation on the wire, forced timeouts via fault
-//! injection, and graceful drain under load.
+//! deadline-driven degradation on the wire, forced timeouts via
+//! per-server fault injection, and graceful drain under load.
 //!
 //! The acceptance contract (mirrors the serving design doc):
 //! at 2x the admission cap the server sheds deterministically, nothing
@@ -171,11 +171,13 @@ fn deadline_bounded_query_degrades_instead_of_missing() {
 fn exec_stall_fault_forces_deterministic_timeout() {
     // exec-stall@0 blocks the first execution until its deadline token
     // trips — the CI recipe for a machine-speed-independent timeout.
-    let _guard = fault::install(vec![ServingFault::ExecStall { nth: 0 }]);
     let before = aqp::obs::global().snapshot();
     let (addr, handle, join) = start_server(
         ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
-        ServerConfig::default(),
+        ServerConfig {
+            faults: vec![ServingFault::ExecStall { nth: 0 }],
+            ..ServerConfig::default()
+        },
     );
     let mut client = Client::new(addr, RetryPolicy::no_retry());
     match client
